@@ -307,8 +307,8 @@ impl AccessSupportRelation {
         &self.partitions
     }
 
-    /// Mutable partition access for MVCC version publishing
-    /// ([`crate::Database::snapshot`]).
+    /// Mutable partition access for freezing snapshot trees
+    /// ([`crate::Database::snapshot`]) and caching checkpoint images.
     pub(crate) fn partitions_mut(&mut self) -> &mut [StoredPartition] {
         &mut self.partitions
     }

@@ -26,7 +26,7 @@ use crate::cell::Cell;
 use crate::error::{AsrError, Result};
 use crate::relation::Relation;
 use crate::row::Row;
-use crate::snapshot::PartitionVersion;
+use crate::snapshot::FrozenPartition;
 
 /// Tree key: clustering cell (first or last column) plus a row id making
 /// the key unique.  `None` (NULL) clusters before all defined cells.
@@ -55,14 +55,15 @@ pub struct StoredPartition {
     fwd_fence: u64,
     /// Page-epoch fence of the backward tree.
     bwd_fence: u64,
-    /// The last published immutable MVCC version of this partition
-    /// ([`Self::publish_version`]) — shared with every snapshot pinned to
-    /// it.  Copy-on-write at partition granularity: any mutation marks it
-    /// stale and the next publish captures a fresh version; clean
-    /// partitions keep handing out the same `Arc`.
-    version: Option<Arc<PartitionVersion>>,
-    /// Has the partition changed since `version` was captured?
-    version_stale: bool,
+    /// Both trees as last frozen for MVCC snapshots ([`Self::freeze`]);
+    /// `None` once the partition changed since.
+    frozen: Option<Arc<FrozenPartition>>,
+    /// The physical image last captured for a checkpoint
+    /// ([`Self::checkpoint_image`]); `None` once the partition changed
+    /// since.
+    image: Option<Arc<PartitionImage>>,
+    /// Tree page copies already reported ([`Self::take_pages_copied`]).
+    copies_reported: u64,
     stats: StatsHandle,
 }
 
@@ -89,26 +90,53 @@ impl StoredPartition {
             dead_rows: BTreeSet::new(),
             fwd_fence: 0,
             bwd_fence: 0,
-            version: None,
-            version_stale: true,
+            frozen: None,
+            image: None,
+            copies_reported: 0,
             stats,
         }
     }
 
-    /// The current immutable version of this partition, capturing a fresh
-    /// one only when the partition changed since the last publish (the
-    /// copy-on-write half of [`crate::Database::snapshot`]).  Returns the
-    /// version and whether it was freshly captured.
-    pub(crate) fn publish_version(&mut self) -> (Arc<PartitionVersion>, bool) {
-        match &self.version {
-            Some(v) if !self.version_stale => (Arc::clone(v), false),
-            _ => {
-                let v = Arc::new(PartitionVersion::capture(self));
-                self.version = Some(Arc::clone(&v));
-                self.version_stale = false;
-                (v, true)
-            }
+    /// Both clustering trees frozen as of now, freezing afresh only when
+    /// the partition changed since the last call (the publish half of
+    /// [`crate::Database::snapshot`]).  Returns the pair and whether it
+    /// was freshly frozen.
+    pub(crate) fn freeze(&mut self) -> (Arc<FrozenPartition>, bool) {
+        let fresh = self.frozen.is_none();
+        let frozen = self.frozen.get_or_insert_with(|| {
+            Arc::new(FrozenPartition {
+                arity: self.to - self.from + 1,
+                fwd: self.fwd.freeze(),
+                bwd: self.bwd.freeze(),
+            })
+        });
+        (Arc::clone(frozen), fresh)
+    }
+
+    /// The partition's physical image ([`Self::dump`]) for a checkpoint,
+    /// dumped afresh only when the partition changed since the last call.
+    pub(crate) fn checkpoint_image(&mut self) -> Arc<PartitionImage> {
+        if self.image.is_none() {
+            self.image = Some(Arc::new(self.dump()));
         }
+        Arc::clone(self.image.as_ref().expect("just captured"))
+    }
+
+    /// Tree pages copied (because a frozen snapshot shared them) since the
+    /// last call.
+    pub(crate) fn take_pages_copied(&mut self) -> u64 {
+        let total = self.fwd.pages_copied() + self.bwd.pages_copied();
+        let new = total - self.copies_reported;
+        self.copies_reported = total;
+        new
+    }
+
+    /// Drop the cached frozen trees and image: the partition is about to
+    /// change.  Dropping the frozen pair first means a write copies only
+    /// pages a pinned snapshot still holds.
+    fn touch(&mut self) {
+        self.frozen = None;
+        self.image = None;
     }
 
     /// The host-relation column span `(from, to)`.
@@ -203,7 +231,7 @@ impl StoredPartition {
         if row.is_all_null() {
             return Ok(());
         }
-        self.version_stale = true;
+        self.touch();
         match self.rows.get_mut(&row) {
             Some(meta) => {
                 meta.count += 1;
@@ -241,18 +269,18 @@ impl StoredPartition {
         let Some(meta) = self.rows.get_mut(row) else {
             return Ok(false);
         };
-        self.version_stale = true;
-        if meta.count > 1 {
-            meta.count -= 1;
-            self.dirty_rows.insert(meta.rowid);
-            let fkey = (row.first().clone(), meta.rowid);
-            let bkey = (row.last().clone(), meta.rowid);
+        meta.count -= 1;
+        let RowMeta { rowid, count } = *meta;
+        self.touch();
+        if count > 0 {
+            self.dirty_rows.insert(rowid);
+            let fkey = (row.first().clone(), rowid);
+            let bkey = (row.last().clone(), rowid);
             let _ = self.fwd.get(&fkey);
             self.charge_tree_write();
             let _ = self.bwd.get(&bkey);
             self.charge_tree_write();
         } else {
-            let rowid = meta.rowid;
             self.rows.remove(row);
             self.dirty_rows.remove(&rowid);
             self.dead_rows.insert(rowid);
@@ -286,11 +314,11 @@ impl StoredPartition {
             .collect()
     }
 
-    /// Batched [`Self::lookup_first`] over **ascending** `cells`
-    /// (`BTreeSet` iteration order qualifies): one shared descent of the
-    /// forward tree, each page charged at most once for the whole batch.
-    /// Rows come back grouped per probe cell, in the same order the
-    /// per-cell lookups would have produced them.
+    /// Batched [`Self::lookup_first`] over `cells`: one shared descent of
+    /// the forward tree in ascending key order, each page charged at most
+    /// once for the whole batch.  Rows come back grouped per probe cell,
+    /// in input order, as the per-cell lookups would have produced them;
+    /// ascending cells (`BTreeSet` iteration order) skip the reordering.
     pub fn lookup_first_grouped<'a>(
         &self,
         cells: impl IntoIterator<Item = &'a Cell>,
@@ -298,7 +326,7 @@ impl StoredPartition {
         Self::lookup_grouped(&self.fwd, cells)
     }
 
-    /// Batched [`Self::lookup_last`] over **ascending** `cells` — the
+    /// Batched [`Self::lookup_last`] over `cells` — the
     /// backward-tree counterpart of [`Self::lookup_first_grouped`].
     pub fn lookup_last_grouped<'a>(
         &self,
@@ -328,16 +356,13 @@ impl StoredPartition {
         tree: &BPlusTree<PartitionKey, Row>,
         cells: impl IntoIterator<Item = &'a Cell>,
     ) -> Vec<Vec<Row>> {
-        let ranges: Vec<(PartitionKey, PartitionKey)> = cells
-            .into_iter()
-            .map(|c| ((Some(c.clone()), 0u64), (Some(c.clone()), u64::MAX)))
-            .collect();
+        let ranges = cell_ranges(cells);
         let mut out: Vec<Vec<Row>> = vec![Vec::new(); ranges.len()];
         tree.scan_ranges_sorted(
             ranges
                 .iter()
-                .map(|(lo, hi)| (Bound::Included(lo), Bound::Excluded(hi))),
-            |idx, _, row| out[idx].push(row.clone()),
+                .map(|(_, lo, hi)| (Bound::Included(lo), Bound::Excluded(hi))),
+            |idx, _, row| out[ranges[idx].0].push(row.clone()),
         );
         out
     }
@@ -376,7 +401,7 @@ impl StoredPartition {
     /// The partition must be empty; all-NULL rows are skipped.
     pub fn bulk_load(&mut self, rows: impl IntoIterator<Item = (Row, u64)>) -> Result<()> {
         assert!(self.is_empty(), "bulk_load requires an empty partition");
-        self.version_stale = true;
+        self.touch();
         let mut fwd_entries: Vec<(PartitionKey, Row)> = Vec::new();
         let mut bwd_entries: Vec<(PartitionKey, Row)> = Vec::new();
         for (row, count) in rows {
@@ -857,6 +882,22 @@ impl RawTreeImage {
             nodes,
         })
     }
+}
+
+/// The key range `[(cell, 0), (cell, u64::MAX))` of each of `cells` —
+/// every row clustered under that cell, whatever its row id — tagged with
+/// the cell's input position and sorted by key, the order a batched tree
+/// probe requires.  Ascending input (`BTreeSet` order) stays in place.
+pub(crate) fn cell_ranges<'a>(
+    cells: impl IntoIterator<Item = &'a Cell>,
+) -> Vec<(usize, PartitionKey, PartitionKey)> {
+    let mut ranges: Vec<_> = cells
+        .into_iter()
+        .enumerate()
+        .map(|(i, c)| (i, (Some(c.clone()), 0u64), (Some(c.clone()), u64::MAX)))
+        .collect();
+    ranges.sort_by(|a, b| a.1.cmp(&b.1));
+    ranges
 }
 
 /// Partitions at or above this many rows bulk-load their two clustering

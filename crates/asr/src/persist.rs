@@ -67,10 +67,12 @@
 //! reloads through the v2 restore machinery, so every structural invariant
 //! is re-validated; the input database is never modified.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::Path;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use asr_gom::{snapshot, ObjectBase, Oid, PathExpression, TypeRef, Value};
 
@@ -155,13 +157,10 @@ impl Database {
     /// design *and* the physical state of every ASR partition — to the
     /// `ASRDB 2` snapshot format.
     pub fn save_to_string(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{MAGIC_V2}");
-        self.write_design(&mut out);
-        self.write_physical(&mut out);
-        let _ = writeln!(out, "{BASE_MARKER}");
-        out.push_str(&snapshot::write_base(self.base()));
-        out
+        let images = self
+            .asrs()
+            .map(|(_, asr)| asr.partitions().iter().map(StoredPartition::dump));
+        render_full(&self.design(), images, self.base())
     }
 
     /// Serialize to the legacy `ASRDB 1` format (no physical section;
@@ -170,7 +169,7 @@ impl Database {
     pub fn save_to_string_v1(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{MAGIC_V1}");
-        self.write_design(&mut out);
+        out.push_str(&self.design());
         let _ = writeln!(out, "{BASE_MARKER}");
         out.push_str(&snapshot::write_base(self.base()));
         out
@@ -190,45 +189,45 @@ impl Database {
         if self.is_design_dirty() {
             return None;
         }
-        let mut out = String::new();
-        let _ = writeln!(out, "{MAGIC_V3}");
-        let _ = writeln!(out, "DELTA {base_id}");
-        self.write_design(&mut out);
-        for (ordinal, (_, asr)) in self.asrs().enumerate() {
-            let mut delta = String::new();
-            write_asr_delta(&mut delta, ordinal, asr);
-            // An unchanged ASR always ships as an (empty) delta — the size
-            // fraction only arbitrates when there is real change to carry.
-            if asr.changed_rows() == 0 {
-                out.push_str(&delta);
-                continue;
-            }
-            let mut full = String::new();
-            write_asr_physical(&mut full, ordinal, asr);
-            if (delta.len() as f64) <= (full.len() as f64) * DELTA_FULL_FRACTION {
-                out.push_str(&delta);
-            } else {
-                out.push_str(&full);
-            }
-        }
-        let _ = writeln!(out, "{BASE_MARKER}");
-        self.write_base_delta(&mut out);
-        Some(out)
+        // Fresh dumps, not the checkpoint cache: this writer takes `&self`.
+        // An unchanged ASR ships as an empty delta and needs no images.
+        let images = self
+            .asrs()
+            .map(|(_, asr)| match asr.changed_rows() {
+                0 => Vec::new(),
+                _ => asr
+                    .partitions()
+                    .iter()
+                    .map(|p| Arc::new(p.dump()))
+                    .collect(),
+            })
+            .collect();
+        self.checkpoint_doc(images).save_delta(base_id, self.base())
     }
 
-    /// The `GOMDELTA 1` section: the snapshot lines of every object
-    /// changed since the fence (exact `GOMSNAP` syntax, filtered from a
-    /// full serialization so the merge on the other side reproduces the
-    /// canonical text byte-for-byte), the deleted OIDs, and rebound
-    /// variables.
-    fn write_base_delta(&self, out: &mut String) {
-        write_base_delta_from(
-            out,
-            self.base(),
-            self.dead_oids(),
-            self.dirty_oids(),
-            self.dirty_vars(),
-        );
+    /// Capture a checkpoint document's content around the given partition
+    /// `images` (one list per present ASR, in `A`-line order).
+    fn checkpoint_doc(&self, images: Vec<Vec<Arc<PartitionImage>>>) -> CheckpointDoc {
+        let deltas = self
+            .asrs()
+            .map(|(_, asr)| AsrDelta {
+                deltas: asr
+                    .partitions()
+                    .iter()
+                    .map(StoredPartition::dump_delta)
+                    .collect(),
+                changed_rows: asr.changed_rows(),
+            })
+            .collect();
+        CheckpointDoc {
+            design: self.design(),
+            design_dirty: self.is_design_dirty(),
+            images,
+            deltas,
+            dead_oids: self.dead_oids().clone(),
+            dirty_oids: self.dirty_oids().clone(),
+            dirty_vars: self.dirty_vars().clone(),
+        }
     }
 
     /// The base-checkpoint id named by an `ASRDB 3` document's `DELTA`
@@ -275,9 +274,7 @@ impl Database {
         strict: bool,
     ) -> Result<(Database, LoadReport)> {
         let doc = parse_delta_doc(text)?;
-        let mut want_design = String::new();
-        self.write_design(&mut want_design);
-        if doc.design != want_design {
+        if doc.design != self.design() {
             return Err(AsrError::Snapshot(
                 "delta design section does not match the base database".into(),
             ));
@@ -410,7 +407,8 @@ impl Database {
 
     /// The design section shared by both format versions: `S` lines
     /// (clustered sizes) and `A` lines (ASR configurations).
-    fn write_design(&self, out: &mut String) {
+    fn design(&self) -> String {
+        let mut out = String::new();
         let mut sizes: Vec<(String, usize)> = self
             .store()
             .configured_sizes()
@@ -437,14 +435,7 @@ impl Database {
                 u8::from(asr.config().keep_set_oids)
             );
         }
-    }
-
-    /// The v2 physical section: per partition, the row mirror and both
-    /// tree images.  ASRs are numbered by their `A`-line ordinal.
-    fn write_physical(&self, out: &mut String) {
-        for (ordinal, (_, asr)) in self.asrs().enumerate() {
-            write_asr_physical(out, ordinal, asr);
-        }
+        out
     }
 
     /// Restore a database from snapshot text: objects keep their OIDs,
@@ -568,10 +559,12 @@ impl Database {
     }
 
     /// Begin a fuzzy checkpoint: capture everything the serializers need
-    /// — a pinned [`Snapshot`] (partition images ride its published
-    /// versions), the design section, per-ASR change deltas and the base
+    /// — a pinned [`Snapshot`] (for the object base), the partition
+    /// images, the design section, per-ASR change deltas and the base
     /// dirty sets — then advance the change-tracking fence
-    /// ([`Database::mark_clean`]).
+    /// ([`Database::mark_clean`]).  Only partitions changed since the
+    /// previous capture are dumped; the others hand out their cached
+    /// image.
     ///
     /// The returned [`CheckpointSource`] renders the `ASRDB 2` / `ASRDB 3`
     /// documents **byte-identical** to what [`Database::save_to_string`] /
@@ -580,46 +573,102 @@ impl Database {
     /// mutating (and serving snapshot readers) while the checkpoint text
     /// is composed and written out.
     pub fn begin_checkpoint(&mut self) -> CheckpointSource {
-        let snap = self.snapshot();
-        let mut design = String::new();
-        self.write_design(&mut design);
-        let asrs = self
-            .asrs()
-            .map(|(_, asr)| AsrCheckpoint {
-                deltas: asr
-                    .partitions()
-                    .iter()
-                    .map(StoredPartition::dump_delta)
-                    .collect(),
-                changed_rows: asr.changed_rows(),
+        let snapshot = self.snapshot();
+        let images = self
+            .asrs
+            .iter_mut()
+            .flatten()
+            .map(|asr| {
+                asr.partitions_mut()
+                    .iter_mut()
+                    .map(StoredPartition::checkpoint_image)
+                    .collect()
             })
             .collect();
         let source = CheckpointSource {
-            snapshot: snap,
-            design,
-            design_dirty: self.is_design_dirty(),
-            asrs,
-            dead_oids: self.dead_oids().clone(),
-            dirty_oids: self.dirty_oids().clone(),
-            dirty_vars: self.dirty_vars().clone(),
+            snapshot,
+            doc: self.checkpoint_doc(images),
         };
         self.mark_clean();
         source
     }
 }
 
-/// One ASR's change payload captured at [`Database::begin_checkpoint`]:
-/// the per-partition deltas since the previous fence, plus how many
-/// mirror rows they carry (the full-vs-delta arbitration input).
+/// One ASR's change payload: the per-partition deltas since the fence,
+/// plus how many mirror rows they carry (the full-vs-delta arbitration
+/// input).
 #[derive(Debug)]
-struct AsrCheckpoint {
+struct AsrDelta {
     deltas: Vec<PartitionDelta>,
     changed_rows: usize,
 }
 
+/// What a checkpoint document is rendered from: the design section, each
+/// ASR's partition images and deltas, and the base's change sets since
+/// the fence.  The delta writer and [`CheckpointSource`] render through
+/// it.
+#[derive(Debug)]
+struct CheckpointDoc {
+    /// The design section verbatim (`S`/`A` lines, newline-terminated).
+    design: String,
+    design_dirty: bool,
+    /// Partition images per `A`-line ordinal (the delta writer leaves
+    /// an unchanged ASR's list empty).
+    images: Vec<Vec<Arc<PartitionImage>>>,
+    /// Change payload per `A`-line ordinal.
+    deltas: Vec<AsrDelta>,
+    dead_oids: BTreeSet<Oid>,
+    dirty_oids: BTreeSet<Oid>,
+    dirty_vars: BTreeSet<String>,
+}
+
+impl CheckpointDoc {
+    /// The `ASRDB 3` delta document on top of `base_id`; `None` when the
+    /// design changed since the fence (deltas never span design changes).
+    /// An ASR whose delta would exceed [`DELTA_FULL_FRACTION`] of its
+    /// full section ships in full v2 form.
+    fn save_delta(&self, base_id: u64, base: &ObjectBase) -> Option<String> {
+        if self.design_dirty {
+            return None;
+        }
+        let mut out = String::new();
+        let _ = writeln!(out, "{MAGIC_V3}");
+        let _ = writeln!(out, "DELTA {base_id}");
+        out.push_str(&self.design);
+        for (ordinal, (asr, images)) in self.deltas.iter().zip(&self.images).enumerate() {
+            let mut delta = String::new();
+            for (pidx, d) in asr.deltas.iter().enumerate() {
+                write_partition_delta(&mut delta, ordinal, pidx, d);
+            }
+            // An unchanged ASR always ships as an (empty) delta — the size
+            // fraction only arbitrates when there is real change to carry.
+            if asr.changed_rows == 0 {
+                out.push_str(&delta);
+                continue;
+            }
+            let mut full = String::new();
+            write_asr_images(&mut full, ordinal, images.iter().map(Arc::as_ref));
+            if (delta.len() as f64) <= (full.len() as f64) * DELTA_FULL_FRACTION {
+                out.push_str(&delta);
+            } else {
+                out.push_str(&full);
+            }
+        }
+        let _ = writeln!(out, "{BASE_MARKER}");
+        write_base_delta_from(
+            &mut out,
+            base,
+            &self.dead_oids,
+            &self.dirty_oids,
+            &self.dirty_vars,
+        );
+        Some(out)
+    }
+}
+
 /// Everything needed to serialize a checkpoint **after** the fence: a
-/// pinned [`Snapshot`] (immutable partition images + object base) and the
-/// change-tracking state that was current when the fence advanced.
+/// pinned [`Snapshot`] (object base) and the document content captured
+/// when the fence advanced.
 ///
 /// Produced by [`Database::begin_checkpoint`]; consumed by the durability
 /// layer, which composes the document and writes it out while the live
@@ -628,14 +677,7 @@ struct AsrCheckpoint {
 #[derive(Debug)]
 pub struct CheckpointSource {
     snapshot: Snapshot,
-    /// The design section verbatim (`S`/`A` lines, newline-terminated).
-    design: String,
-    design_dirty: bool,
-    /// Per `A`-line ordinal, matching the snapshot's ASR order.
-    asrs: Vec<AsrCheckpoint>,
-    dead_oids: BTreeSet<Oid>,
-    dirty_oids: BTreeSet<Oid>,
-    dirty_vars: BTreeSet<String>,
+    doc: CheckpointDoc,
 }
 
 impl CheckpointSource {
@@ -649,78 +691,33 @@ impl CheckpointSource {
     /// [`CheckpointSource::save_delta`] will refuse and the caller must
     /// take a full checkpoint.
     pub fn is_design_dirty(&self) -> bool {
-        self.design_dirty
+        self.doc.design_dirty
     }
 
     /// `true` when nothing changed since the previous fence: a delta
     /// rendered from this source would carry no rows, pages, objects or
     /// variables.
     pub fn is_noop_delta(&self) -> bool {
-        !self.design_dirty
-            && self.dead_oids.is_empty()
-            && self.dirty_oids.is_empty()
-            && self.dirty_vars.is_empty()
-            && self.asrs.iter().all(|a| a.changed_rows == 0)
+        let doc = &self.doc;
+        !doc.design_dirty
+            && doc.dead_oids.is_empty()
+            && doc.dirty_oids.is_empty()
+            && doc.dirty_vars.is_empty()
+            && doc.deltas.iter().all(|a| a.changed_rows == 0)
     }
 
     /// Render the full `ASRDB 2` document from the captured state —
     /// byte-identical to [`Database::save_to_string`] at the fence.
     pub fn save_full(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{MAGIC_V2}");
-        out.push_str(&self.design);
-        for (ordinal, images) in self.snapshot.asr_images().iter().enumerate() {
-            for (pidx, img) in images.iter().enumerate() {
-                write_partition_image(&mut out, ordinal, pidx, img);
-            }
-        }
-        let _ = writeln!(out, "{BASE_MARKER}");
-        out.push_str(&snapshot::write_base(self.snapshot.base()));
-        out
+        let images = self.doc.images.iter().map(|a| a.iter().map(Arc::as_ref));
+        render_full(&self.doc.design, images, self.snapshot.base())
     }
 
     /// Render the `ASRDB 3` delta document on top of `base_id` — byte-
     /// identical to [`Database::save_delta_to_string`] at the fence.
     /// `None` when the design changed since the previous fence.
     pub fn save_delta(&self, base_id: u64) -> Option<String> {
-        if self.design_dirty {
-            return None;
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "{MAGIC_V3}");
-        let _ = writeln!(out, "DELTA {base_id}");
-        out.push_str(&self.design);
-        let images = self.snapshot.asr_images();
-        for (ordinal, asr) in self.asrs.iter().enumerate() {
-            let mut delta = String::new();
-            for (pidx, d) in asr.deltas.iter().enumerate() {
-                write_partition_delta(&mut delta, ordinal, pidx, d);
-            }
-            // Same arbitration as the live writer: unchanged ASRs always
-            // ship as (empty) deltas; otherwise size decides.
-            if asr.changed_rows == 0 {
-                out.push_str(&delta);
-                continue;
-            }
-            let mut full = String::new();
-            for (pidx, img) in images[ordinal].iter().enumerate() {
-                write_partition_image(&mut full, ordinal, pidx, img);
-            }
-            if (delta.len() as f64) <= (full.len() as f64) * DELTA_FULL_FRACTION {
-                out.push_str(&delta);
-            } else {
-                out.push_str(&full);
-            }
-        }
-        let _ = writeln!(out, "{BASE_MARKER}");
-        write_base_delta_from(
-            &mut out,
-            self.snapshot.base(),
-            &self.dead_oids,
-            &self.dirty_oids,
-            &self.dirty_vars,
-        );
-        Some(out)
+        self.doc.save_delta(base_id, self.snapshot.base())
     }
 }
 
@@ -802,16 +799,39 @@ fn csv_or_dash<T: std::fmt::Display>(items: impl ExactSizeIterator<Item = T>) ->
     }
 }
 
+/// The full `ASRDB 2` document: the design section, every ASR's
+/// partition images (per `A`-line ordinal) and the base.
+/// Images are rendered as `images` yields them, so the live writer can
+/// dump one partition at a time.
+fn render_full<I: Borrow<PartitionImage>>(
+    design: &str,
+    images: impl Iterator<Item = impl IntoIterator<Item = I>>,
+    base: &ObjectBase,
+) -> String {
+    let mut out = String::new();
+    let _ = writeln!(out, "{MAGIC_V2}");
+    out.push_str(design);
+    for (ordinal, asr) in images.enumerate() {
+        write_asr_images(&mut out, ordinal, asr);
+    }
+    let _ = writeln!(out, "{BASE_MARKER}");
+    out.push_str(&snapshot::write_base(base));
+    out
+}
+
 /// One ASR's full physical section in the v2 grammar (`P`/`R`/`T`/`N`) —
 /// the whole-snapshot writer and the per-ASR fallback inside v3 deltas.
-fn write_asr_physical(out: &mut String, ordinal: usize, asr: &AccessSupportRelation) {
-    for (pidx, part) in asr.partitions().iter().enumerate() {
-        write_partition_image(out, ordinal, pidx, &part.dump());
+fn write_asr_images<I: Borrow<PartitionImage>>(
+    out: &mut String,
+    ordinal: usize,
+    images: impl IntoIterator<Item = I>,
+) {
+    for (pidx, img) in images.into_iter().enumerate() {
+        write_partition_image(out, ordinal, pidx, img.borrow());
     }
 }
 
-/// One partition's `P`/`R`/`T`/`N` lines from an already-captured image —
-/// shared by the live writer and checkpoint-from-snapshot serialization.
+/// One partition's `P`/`R`/`T`/`N` lines from a captured image.
 fn write_partition_image(out: &mut String, ordinal: usize, pidx: usize, img: &PartitionImage) {
     let _ = writeln!(
         out,
@@ -832,17 +852,9 @@ fn write_partition_image(out: &mut String, ordinal: usize, pidx: usize, img: &Pa
     write_tree(out, ordinal, pidx, 'b', &img.bwd);
 }
 
-/// One ASR's delta section (`D`/`R`/`X`/`U`/`N`): rows changed since the
-/// fence, rows physically removed, and the pages each tree stamped.
-fn write_asr_delta(out: &mut String, ordinal: usize, asr: &AccessSupportRelation) {
-    for (pidx, part) in asr.partitions().iter().enumerate() {
-        write_partition_delta(out, ordinal, pidx, &part.dump_delta());
-    }
-}
-
-/// One partition's `D`/`R`/`X`/`U`/`N` lines from an already-captured
-/// delta — shared by the live writer and checkpoint-from-snapshot
-/// serialization.
+/// One partition's delta lines (`D`/`R`/`X`/`U`/`N`) from a captured
+/// delta: rows changed since the fence, rows physically removed, and the
+/// pages each tree stamped.
 fn write_partition_delta(out: &mut String, ordinal: usize, pidx: usize, d: &PartitionDelta) {
     let _ = writeln!(
         out,
@@ -2297,6 +2309,35 @@ mod tests {
         assert!(!idle.is_noop_delta(), "the Salt rename is still pending");
         let idle2 = db.begin_checkpoint();
         assert!(idle2.is_noop_delta());
+    }
+
+    #[test]
+    fn checkpoint_images_are_recaptured_only_for_changed_partitions() {
+        let (mut db, _) = settled(sample_db());
+        let first = db.begin_checkpoint();
+        // A rename touches only the partitions ending in the Name column.
+        let (_, pepper) = sec_composition(&db);
+        db.set_attribute(pepper, "Name", Value::string("Salt"))
+            .unwrap();
+        let want_full = db.save_to_string();
+        let want_delta = db.save_delta_to_string(3).unwrap();
+        let second = db.begin_checkpoint();
+        assert_eq!(second.save_full(), want_full);
+        assert_eq!(second.save_delta(3).unwrap(), want_delta);
+        // Partitions the insert left alone hand out the cached image.
+        let pairs: Vec<(&Arc<PartitionImage>, &Arc<PartitionImage>)> = first
+            .doc
+            .images
+            .iter()
+            .zip(&second.doc.images)
+            .flat_map(|(a, b)| a.iter().zip(b))
+            .collect();
+        let cached = pairs.iter().filter(|(a, b)| Arc::ptr_eq(a, b)).count();
+        assert!(
+            0 < cached && cached < pairs.len(),
+            "{cached} of {} images cached",
+            pairs.len()
+        );
     }
 
     #[test]

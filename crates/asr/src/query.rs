@@ -26,9 +26,9 @@ use crate::row::Row;
 /// One partition as the span-query walk sees it: batched border probes
 /// through a clustering direction, and exhaustive interior scans.
 /// Implemented by live [`StoredPartition`]s (page costs land on the shared
-/// stats handle) and by the immutable MVCC partition versions behind
-/// [`crate::Snapshot`] (modeled page costs land on the snapshot's own
-/// counter), so both evaluate `Q_{i,j}` through the same machinery.
+/// stats handle) and by the frozen trees behind [`crate::Snapshot`] (the
+/// same page costs land on the snapshot's own counter), so both evaluate
+/// `Q_{i,j}` through the same machinery.
 pub trait SpanSource {
     /// Batched clustered probe over an **ascending** frontier: `forward`
     /// probes the first-column clustering, otherwise the last-column one.

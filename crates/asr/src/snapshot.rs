@@ -2,37 +2,44 @@
 //! pinned to a commit epoch.
 //!
 //! The paper prices ASRs as *shared* access paths; this module supplies
-//! the sharing.  [`Database::snapshot`] publishes every stored partition
-//! as an immutable [`PartitionVersion`] (copy-on-write: only partitions
-//! mutated since their last publish are re-captured — clean ones keep
-//! handing out the same `Arc`) and hands back a [`Snapshot`] that answers
-//! span queries, border probes, and partition scans with results
-//! bit-identical to the live database, while the single writer keeps
-//! mutating its private working set.
+//! the sharing.  A snapshot is a set of frozen copy-on-write B+ trees:
+//! [`Database::snapshot`] freezes both clustering trees of every stored
+//! partition changed since its last publish (clean partitions keep
+//! handing out the same frozen pair) and hands back a [`Snapshot`] that
+//! answers span queries, border probes, and partition scans with results
+//! bit-identical to the live database.  Freezing copies one pointer per
+//! page; the single writer keeps mutating its trees and copies a page
+//! only when it writes one a pinned snapshot still shares
+//! (`txn.pages_copied`).
 //!
 //! Lifecycle: **publish** (a snapshot pins the current commit epoch),
 //! **pin** (clones share the pin; the epoch stays registered while any
 //! reader holds it), **reclaim** (the last reader's drop retires the
 //! epoch in the [`EpochRegistry`], visible as `txn.epochs_reclaimed`).
 //!
-//! Page accounting: the live database charges real modeled I/O to its
-//! shared [`asr_pagesim::IoStats`].  A snapshot is detached from that
-//! handle (it must be `Send`), so it meters its own reads — tree height
-//! plus distinct leaves per batched probe, leaf pages per scan — on an
-//! internal atomic counter exposed as [`Snapshot::pages_read`].
+//! Page accounting: snapshot probes and scans run the live trees' own
+//! descent and scan code, so they charge the live rule page for page —
+//! one charge per page a batched probe touches, and `inner_height +
+//! leaves` per partition scan.  Only the sink differs: a snapshot is
+//! detached from the live [`asr_pagesim::IoStats`] (it must be `Send`),
+//! so its charges land on an internal atomic meter exposed as
+//! [`Snapshot::pages_read`].  Frozen trees have no buffer pool: with the
+//! buffering ablation on, snapshot reads still charge unbuffered.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use asr_gom::{ObjectBase, Oid, PathExpression};
+use asr_pagesim::FrozenTree;
 
 use crate::cell::Cell;
 use crate::database::{AsrId, Database};
 use crate::error::{AsrError, Result};
 use crate::manager::AsrConfig;
 use crate::naive::check_span;
-use crate::partition::{PartitionImage, StoredPartition};
+use crate::partition::{cell_ranges, PartitionKey};
 use crate::query::{self, SpanSource};
 use crate::row::Row;
 
@@ -110,144 +117,82 @@ impl Drop for EpochPin {
 }
 
 // ---------------------------------------------------------------------
-// Immutable partition versions
+// Frozen partitions
 // ---------------------------------------------------------------------
 
-/// An immutable published version of one [`StoredPartition`]: the full
-/// physical image (reused verbatim by checkpoint serialization) plus two
-/// sorted access vectors standing in for the redundant clustering trees.
-/// `by_first`/`by_last` order is exactly the trees' key order
-/// `(cell, rowid)` with NULL first, so scans and probes reproduce the
-/// live partition's row order bit for bit.
+/// One stored partition as published into snapshots: both clustering
+/// trees frozen at the publish (`StoredPartition::freeze`).  The trees
+/// share their pages with the live partition until the writer next
+/// writes them, so a publish copies pointers, never rows.
 #[derive(Debug)]
-pub(crate) struct PartitionVersion {
-    /// `(clustering cell, rowid, index into image.rows)` sorted ascending
-    /// — the forward (first-column) clustering.
-    by_first: Vec<(Option<Cell>, u64, u32)>,
+pub(crate) struct FrozenPartition {
+    /// Columns spanned (`to − from + 1`).
+    pub(crate) arity: usize,
+    /// The forward (first-column) clustering.
+    pub(crate) fwd: FrozenTree<PartitionKey, Row>,
     /// The backward (last-column) clustering.
-    by_last: Vec<(Option<Cell>, u64, u32)>,
-    fwd_height: u64,
-    bwd_height: u64,
-    /// Tuples per leaf page (formula 14) — converts hit runs into the
-    /// modeled leaf-page charge.
-    leaf_capacity: u64,
-    fwd_leaf_pages: u64,
-    /// The page-faithful physical image ([`StoredPartition::dump`]).
-    image: PartitionImage,
+    pub(crate) bwd: FrozenTree<PartitionKey, Row>,
 }
 
-impl PartitionVersion {
-    /// Capture the partition's current state as an immutable version.
-    pub(crate) fn capture(part: &StoredPartition) -> Self {
-        let image = part.dump();
-        let order = |key: fn(&Row) -> &Option<Cell>| {
-            let mut v: Vec<(Option<Cell>, u64, u32)> = image
-                .rows
-                .iter()
-                .enumerate()
-                .map(|(idx, (row, rowid, _))| (key(row).clone(), *rowid, idx as u32))
-                .collect();
-            v.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-            v
-        };
-        PartitionVersion {
-            by_first: order(Row::first),
-            by_last: order(Row::last),
-            fwd_height: image.fwd.height as u64,
-            bwd_height: image.bwd.height as u64,
-            leaf_capacity: (part.forward_tree().leaf_capacity() as u64).max(1),
-            fwd_leaf_pages: part.leaf_pages(),
-            image,
-        }
-    }
-
-    /// Columns spanned (`to − from + 1`).
-    pub(crate) fn arity(&self) -> usize {
-        self.image.to - self.image.from + 1
-    }
-
-    /// The captured physical image (checkpoint serialization).
-    pub(crate) fn image(&self) -> &PartitionImage {
-        &self.image
-    }
-
-    /// Distinct stored rows.
-    pub(crate) fn len(&self) -> usize {
-        self.image.rows.len()
-    }
-
-    fn row(&self, idx: u32) -> &Row {
-        &self.image.rows[idx as usize].0
-    }
-
-    /// Batched clustered probe in the order `keys` arrive (ascending for
-    /// frontier probes), concatenating per-key hit runs — the immutable
-    /// counterpart of [`StoredPartition::lookup_first_many`].  Charges one
-    /// descent plus each distinct leaf page once per batch.
-    fn probe_cells<'a>(
+impl FrozenPartition {
+    /// Batched clustered probe over `keys` in any order — the frozen
+    /// counterpart of `StoredPartition::lookup_first_many` /
+    /// `lookup_last_many`: the same rows in the same order, charging
+    /// `meter` exactly the pages the live batch charges.
+    fn probe<'a>(
         &self,
         forward: bool,
-        keys: impl Iterator<Item = &'a Cell>,
-        reads: &AtomicU64,
+        keys: impl IntoIterator<Item = &'a Cell>,
+        meter: &AtomicU64,
     ) -> Vec<Row> {
-        let (list, height) = if forward {
-            (&self.by_first, self.fwd_height)
-        } else {
-            (&self.by_last, self.bwd_height)
-        };
-        let mut out = Vec::new();
-        let mut leaves: BTreeSet<u64> = BTreeSet::new();
-        let mut probed = false;
-        for cell in keys {
-            probed = true;
-            let key = Some(cell.clone());
-            let mut at = list.partition_point(|e| (&e.0, e.1) < (&key, 0));
-            while at < list.len() && list[at].0 == key {
-                leaves.insert(at as u64 / self.leaf_capacity);
-                out.push(self.row(list[at].2).clone());
-                at += 1;
-            }
-        }
-        if probed {
-            reads.fetch_add(height + leaves.len() as u64, Ordering::Relaxed);
-        }
-        out
+        let tree = if forward { &self.fwd } else { &self.bwd };
+        let ranges = cell_ranges(keys);
+        let mut out: Vec<Vec<Row>> = vec![Vec::new(); ranges.len()];
+        tree.scan_ranges_sorted(
+            ranges
+                .iter()
+                .map(|(_, lo, hi)| (Bound::Included(lo), Bound::Excluded(hi))),
+            meter,
+            |idx, _, row| out[ranges[idx].0].push(row.clone()),
+        );
+        out.into_iter().flatten().collect()
     }
 
-    /// Exhaustive scan in forward clustering order, keeping rows whose
-    /// column `offset` matches `wanted` — the immutable counterpart of
-    /// [`StoredPartition::scan`].  Charges the leaf pages of one tree.
-    fn scan_cells(&self, offset: usize, wanted: &BTreeSet<&Cell>, reads: &AtomicU64) -> Vec<Row> {
-        reads.fetch_add(self.fwd_leaf_pages, Ordering::Relaxed);
+    /// Exhaustive scan in forward clustering order keeping the rows whose
+    /// column `offset` passes `keep` — the frozen counterpart of
+    /// `StoredPartition::scan`, charging the same `inner_height +
+    /// leaves`.
+    fn scan_where(
+        &self,
+        offset: usize,
+        keep: impl Fn(&Cell) -> bool,
+        meter: &AtomicU64,
+    ) -> Vec<Row> {
         let mut hits = Vec::new();
-        for &(_, _, idx) in &self.by_first {
-            let row = self.row(idx);
-            if let Some(cell) = row.cell(offset) {
-                if wanted.contains(cell) {
-                    hits.push(row.clone());
-                }
+        self.fwd.scan_all(meter, |_, row| {
+            if row.cell(offset).as_ref().is_some_and(&keep) {
+                hits.push(row.clone());
             }
-        }
+        });
         hits
     }
 }
 
-/// A partition version bound to a snapshot's read counter, so the span
+/// A frozen partition bound to a snapshot's read meter, so the span
 /// query machinery can charge modeled I/O somewhere.
 struct SnapView<'a> {
-    version: &'a PartitionVersion,
+    part: &'a FrozenPartition,
     reads: &'a AtomicU64,
 }
 
 impl SpanSource for SnapView<'_> {
     fn probe_border(&self, forward: bool, frontier: &BTreeSet<Cell>) -> Vec<Row> {
-        self.version
-            .probe_cells(forward, frontier.iter(), self.reads)
+        self.part.probe(forward, frontier, self.reads)
     }
 
     fn scan_matching(&self, offset: usize, frontier: &BTreeSet<Cell>) -> Vec<Row> {
-        let wanted: BTreeSet<&Cell> = frontier.iter().collect();
-        self.version.scan_cells(offset, &wanted, self.reads)
+        self.part
+            .scan_where(offset, |c| frontier.contains(c), self.reads)
     }
 }
 
@@ -256,12 +201,12 @@ impl SpanSource for SnapView<'_> {
 // ---------------------------------------------------------------------
 
 /// One ASR as published into a snapshot: design (path + config) plus the
-/// pinned partition versions.
+/// pinned frozen partitions.
 #[derive(Debug)]
 struct SnapAsr {
     path: PathExpression,
     config: AsrConfig,
-    versions: Vec<Arc<PartitionVersion>>,
+    parts: Vec<Arc<FrozenPartition>>,
 }
 
 impl SnapAsr {
@@ -338,43 +283,26 @@ impl Snapshot {
 
     /// Stored partitions of ASR `id`.
     pub fn partition_count(&self, id: AsrId) -> Result<usize> {
-        Ok(self.snap_asr(id)?.versions.len())
+        Ok(self.snap_asr(id)?.parts.len())
     }
 
     /// Columns of partition `part` of ASR `id`.
     pub fn partition_arity(&self, id: AsrId, part: usize) -> Result<usize> {
-        Ok(self.partition(id, part)?.arity())
+        Ok(self.partition(id, part)?.arity)
     }
 
-    fn partition(&self, id: AsrId, part: usize) -> Result<&PartitionVersion> {
+    fn partition(&self, id: AsrId, part: usize) -> Result<&FrozenPartition> {
         self.snap_asr(id)?
-            .versions
+            .parts
             .get(part)
             .map(Arc::as_ref)
             .ok_or_else(|| AsrError::InvalidDecomposition(format!("no partition {part}")))
     }
 
-    /// Forward span query `Q_{i,j}(fw)` against the pinned versions —
+    /// Forward span query `Q_{i,j}(fw)` against the frozen trees —
     /// result bit-identical to the live ASR's supported evaluation.
     pub fn forward(&self, id: AsrId, i: usize, j: usize, start: Oid) -> Result<Vec<Cell>> {
-        let asr = self.snap_asr(id)?;
-        check_span(&asr.path, i, j)?;
-        if !asr.supports(i, j) {
-            return Err(AsrError::Unsupported {
-                extension: asr.config.extension.name(),
-                i,
-                j,
-                n: asr.path.len(),
-            });
-        }
-        let views: Vec<SnapView<'_>> = asr
-            .versions
-            .iter()
-            .map(|v| SnapView {
-                version: v,
-                reads: &self.reads,
-            })
-            .collect();
+        let (asr, views) = self.supported(id, i, j)?;
         Ok(query::forward_supported(
             &views,
             &asr.config.decomposition,
@@ -384,26 +312,9 @@ impl Snapshot {
         ))
     }
 
-    /// Backward span query `Q_{i,j}(bw)` against the pinned versions.
+    /// Backward span query `Q_{i,j}(bw)` against the frozen trees.
     pub fn backward(&self, id: AsrId, i: usize, j: usize, target: &Cell) -> Result<Vec<Oid>> {
-        let asr = self.snap_asr(id)?;
-        check_span(&asr.path, i, j)?;
-        if !asr.supports(i, j) {
-            return Err(AsrError::Unsupported {
-                extension: asr.config.extension.name(),
-                i,
-                j,
-                n: asr.path.len(),
-            });
-        }
-        let views: Vec<SnapView<'_>> = asr
-            .versions
-            .iter()
-            .map(|v| SnapView {
-                version: v,
-                reads: &self.reads,
-            })
-            .collect();
+        let (asr, views) = self.supported(id, i, j)?;
         let cells = query::backward_supported(
             &views,
             &asr.config.decomposition,
@@ -414,13 +325,36 @@ impl Snapshot {
         Ok(cells.into_iter().filter_map(|c| c.as_oid()).collect())
     }
 
-    /// Batched clustered probe of one partition in the order `keys`
-    /// arrive — the snapshot counterpart of the scatter-gather
-    /// `ShardProbe` request (`lookup_first_many` / `lookup_last_many`).
+    /// ASR `id` and views of its partitions, if it supports span `(i, j)`
+    /// — [`AsrError::Unsupported`] exactly where the live ASR would say so.
+    fn supported(&self, id: AsrId, i: usize, j: usize) -> Result<(&SnapAsr, Vec<SnapView<'_>>)> {
+        let asr = self.snap_asr(id)?;
+        check_span(&asr.path, i, j)?;
+        if !asr.supports(i, j) {
+            return Err(AsrError::Unsupported {
+                extension: asr.config.extension.name(),
+                i,
+                j,
+                n: asr.path.len(),
+            });
+        }
+        let views = asr
+            .parts
+            .iter()
+            .map(|part| SnapView {
+                part,
+                reads: &self.reads,
+            })
+            .collect();
+        Ok((asr, views))
+    }
+
+    /// Batched clustered probe of one partition over `keys` in any order
+    /// — the snapshot counterpart of the scatter-gather `ShardProbe`
+    /// request (`lookup_first_many` / `lookup_last_many`), charging the
+    /// same pages.
     pub fn probe(&self, id: AsrId, part: usize, forward: bool, keys: &[Cell]) -> Result<Vec<Row>> {
-        Ok(self
-            .partition(id, part)?
-            .probe_cells(forward, keys.iter(), &self.reads))
+        Ok(self.partition(id, part)?.probe(forward, keys, &self.reads))
     }
 
     /// Exhaustive scan of one partition keeping rows whose column
@@ -433,30 +367,19 @@ impl Snapshot {
         offset: usize,
         frontier: &[Cell],
     ) -> Result<Vec<Row>> {
-        let version = self.partition(id, part)?;
-        if offset >= version.arity() {
+        let frozen = self.partition(id, part)?;
+        if offset >= frozen.arity {
             return Err(AsrError::InvalidDecomposition(format!(
                 "offset {offset} outside partition"
             )));
         }
         let wanted: BTreeSet<&Cell> = frontier.iter().collect();
-        Ok(version.scan_cells(offset, &wanted, &self.reads))
+        Ok(frozen.scan_where(offset, |c| wanted.contains(c), &self.reads))
     }
 
     /// Total distinct rows across all partitions of ASR `id`.
     pub fn total_rows(&self, id: AsrId) -> Result<usize> {
-        Ok(self.snap_asr(id)?.versions.iter().map(|v| v.len()).sum())
-    }
-
-    /// The pinned partition images of every present ASR, in `A`-line
-    /// ordinal order — what checkpoint serialization renders instead of
-    /// re-dumping the live trees.
-    pub(crate) fn asr_images(&self) -> Vec<Vec<&PartitionImage>> {
-        self.asrs
-            .iter()
-            .flatten()
-            .map(|asr| asr.versions.iter().map(|v| v.image()).collect())
-            .collect()
+        Ok(self.snap_asr(id)?.parts.iter().map(|p| p.fwd.len()).sum())
     }
 }
 
@@ -485,40 +408,40 @@ impl Database {
     /// Publish the current state as an immutable [`Snapshot`] pinned to
     /// the current commit epoch.
     ///
-    /// Copy-on-write at partition granularity: only partitions mutated
-    /// since their last publish are re-captured; repeated snapshots of an
-    /// unchanged database share every version (and the epoch).  The
-    /// object base travels as an `Arc` — the writer's next base mutation
-    /// clones it lazily (`Arc::make_mut`), never the readers.
+    /// Copy-on-write at page granularity: partitions mutated since their
+    /// last publish freeze their trees afresh (one pointer copy per
+    /// page), clean ones hand out the same frozen pair; repeated
+    /// snapshots of an unchanged database share every page (and the
+    /// epoch).  The object base travels as an `Arc` — the writer's next
+    /// base mutation clones it lazily (`Arc::make_mut`), never the
+    /// readers.
     pub fn snapshot(&mut self) -> Snapshot {
         if self.snap_stale {
             self.commit_epoch += 1;
             self.snap_stale = false;
         }
-        let mut published = 0u64;
+        let (mut published, mut copied) = (0u64, 0u64);
         let mut asrs: Vec<Option<Arc<SnapAsr>>> = Vec::with_capacity(self.asrs.len());
         for slot in self.asrs.iter_mut() {
-            match slot {
-                Some(asr) => {
-                    let path = asr.path().clone();
-                    let config = asr.config().clone();
-                    let versions = asr
-                        .partitions_mut()
-                        .iter_mut()
-                        .map(|p| {
-                            let (version, fresh) = p.publish_version();
-                            published += u64::from(fresh);
-                            version
-                        })
-                        .collect();
-                    asrs.push(Some(Arc::new(SnapAsr {
-                        path,
-                        config,
-                        versions,
-                    })));
-                }
-                None => asrs.push(None),
-            }
+            asrs.push(slot.as_mut().map(|asr| {
+                let path = asr.path().clone();
+                let config = asr.config().clone();
+                let parts = asr
+                    .partitions_mut()
+                    .iter_mut()
+                    .map(|p| {
+                        copied += p.take_pages_copied();
+                        let (frozen, fresh) = p.freeze();
+                        published += u64::from(fresh);
+                        frozen
+                    })
+                    .collect();
+                Arc::new(SnapAsr {
+                    path,
+                    config,
+                    parts,
+                })
+            }));
         }
         let pin = self.epochs.pin(self.commit_epoch);
         let newly_reclaimed = self.epochs.reclaimed() - self.reclaimed_seen;
@@ -526,6 +449,7 @@ impl Database {
         let metrics = self.tracer().metrics();
         metrics.inc_counter("txn.snapshots", 1);
         metrics.inc_counter("txn.partitions_published", published);
+        metrics.inc_counter("txn.pages_copied", copied);
         metrics.inc_counter("txn.epochs_reclaimed", newly_reclaimed);
         metrics.set_gauge("txn.commit_epoch", self.commit_epoch as f64);
         metrics.set_gauge("txn.active_snapshots", self.epochs.active() as f64);

@@ -19,6 +19,7 @@ const COUNTERS: &[&str] = &[
     "txn.snapshots",
     "txn.partitions_published",
     "txn.epochs_reclaimed",
+    "txn.pages_copied",
 ];
 const GAUGES: &[&str] = &[
     "txn.commit_epoch",
@@ -177,6 +178,8 @@ fn every_registered_metric_is_exposed_after_a_workload() {
     }
     // The reclaim cycle really happened (not just a zero-increment).
     assert!(metrics.counter("txn.epochs_reclaimed") > 0);
+    // The write under the pin copied the tree pages it wrote.
+    assert!(metrics.counter("txn.pages_copied") > 0);
     assert!(metrics.counter("asr.rebuild_fallback") > 0);
     assert!(metrics.counter("btree.batch.probes") > 0);
 }

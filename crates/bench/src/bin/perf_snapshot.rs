@@ -457,10 +457,14 @@ fn concurrency_json(b: &ConcurrencyBench, cpus: usize) -> String {
         .map(|p| read_point_json(p, cpus))
         .collect::<Vec<_>>()
         .join(",\n");
+    // `pages_copied_per_publish` is deterministic (a fixed script of
+    // pinned writes) but reported, not gated.
     format!(
         "{{\n    \"workload\": \"group-commit ins-leaf commits and pinned-snapshot span sweeps \
          on the 12/24/48/96 chain, full/binary ASR, sessions/readers 1-8\",\n    \
-         \"write\": [\n{write}\n    ],\n    \"read\": [\n{read}\n    ]\n  }}"
+         \"write\": [\n{write}\n    ],\n    \"read\": [\n{read}\n    ],\n    \
+         \"pages_copied_per_publish\": {:.4}\n  }}",
+        b.pages_copied_per_publish
     )
 }
 

@@ -17,10 +17,19 @@
 //!
 //! Composite keys (e.g. `(column value, row id)`) are expressed through the
 //! ordinary `Ord` bound; prefix scans become half-open ranges.
+//!
+//! Pages are copy-on-write: the slab holds `Arc`'d nodes, and
+//! [`BPlusTree::freeze`] hands out a [`FrozenTree`] — a `Send + Sync`
+//! view sharing every page — for the price of one pointer copy per page.
+//! A write copies a page only while a frozen view still shares it
+//! ([`BPlusTree::pages_copied`]).  Frozen views read through the same
+//! descent and scan code as the live tree, so both charge the same pages.
 
 use std::cell::{Cell, RefCell};
 use std::fmt::Debug;
 use std::ops::Bound;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::buffer::BufferPool;
 use crate::constants::{PAGE_SIZE, PP_SIZE};
@@ -319,12 +328,301 @@ enum Node<K, V> {
     Free,
 }
 
+impl<K: Clone, V: Clone> Node<K, V> {
+    fn is_leaf(&self) -> bool {
+        matches!(self, Node::Leaf { .. })
+    }
+
+    /// The page's content as a [`NodeImage`].
+    fn image(&self) -> NodeImage<K, V> {
+        match self {
+            Node::Inner { keys, children } => NodeImage::Inner {
+                keys: keys.clone(),
+                children: children.clone(),
+            },
+            Node::Leaf { entries, next } => NodeImage::Leaf {
+                entries: entries.clone(),
+                next: (*next != NO_NODE).then_some(*next),
+            },
+            Node::Free => NodeImage::Free,
+        }
+    }
+}
+
+/// Read-only access to one page slab: the descent and scan code shared by
+/// the live [`BPlusTree`] and its [`FrozenTree`] views.  Only `charge`
+/// differs — the live tree routes each page read through its buffer pool
+/// and [`IoStats`](crate::IoStats), a frozen view counts it into a meter.
+struct Pages<'a, K, V, C> {
+    nodes: &'a [Arc<Node<K, V>>],
+    root: usize,
+    height: usize,
+    charge: C,
+}
+
+impl<'a, K: Ord + Clone, V, C: Fn(usize)> Pages<'a, K, V, C> {
+    fn leaf(&self, id: usize) -> (&'a [(K, V)], usize) {
+        let nodes = self.nodes;
+        match &*nodes[id] {
+            Node::Leaf { entries, next } => (entries, *next),
+            _ => unreachable!("page {id} is not a leaf"),
+        }
+    }
+
+    /// Walk from the root to the leaf responsible for `key`, charging one
+    /// read per level and recording `(node, child index)` for each inner
+    /// node on the way.
+    fn descend(&self, key: &K) -> (usize, Vec<(usize, usize)>) {
+        let mut path = Vec::with_capacity(self.height);
+        let mut node = self.root;
+        loop {
+            (self.charge)(node);
+            match &*self.nodes[node] {
+                Node::Inner { keys, children } => {
+                    let idx = keys.partition_point(|k| k <= key);
+                    path.push((node, idx));
+                    node = children[idx];
+                }
+                Node::Leaf { .. } => return (node, path),
+                Node::Free => unreachable!("descended into freed node"),
+            }
+        }
+    }
+
+    fn scan_range(&self, lo: Bound<&K>, hi: Bound<&K>, mut visit: impl FnMut(&K, &V)) {
+        let mut leaf = match lo {
+            Bound::Included(key) | Bound::Excluded(key) => self.descend(key).0,
+            Bound::Unbounded => {
+                // Walk down the left spine.
+                let mut node = self.root;
+                loop {
+                    (self.charge)(node);
+                    match &*self.nodes[node] {
+                        Node::Inner { children, .. } => node = children[0],
+                        Node::Leaf { .. } => break node,
+                        Node::Free => unreachable!(),
+                    }
+                }
+            }
+        };
+        let mut start_idx = start_index(self.leaf(leaf).0, lo);
+        loop {
+            let (entries, next) = self.leaf(leaf);
+            for (k, v) in &entries[start_idx..] {
+                if !below(k, hi) {
+                    return;
+                }
+                visit(k, v);
+            }
+            if next == NO_NODE {
+                return;
+            }
+            leaf = next;
+            start_idx = 0;
+            (self.charge)(leaf);
+        }
+    }
+
+    fn fresh_batch(&self) -> BatchState<K> {
+        BatchState {
+            path: Vec::with_capacity(self.height),
+            charged: vec![false; self.nodes.len()],
+            pages_read: 0,
+        }
+    }
+
+    fn batch_charge(&self, st: &mut BatchState<K>, node: usize) {
+        if !st.charged[node] {
+            st.charged[node] = true;
+            st.pages_read += 1;
+            (self.charge)(node);
+        }
+    }
+
+    /// Descend to the leaf responsible for `key` (`None` = leftmost
+    /// leaf), reusing the surviving prefix of the previous probe's path
+    /// and charging only pages not yet touched this batch.
+    fn batch_descend(&self, st: &mut BatchState<K>, key: Option<&K>) -> usize {
+        match key {
+            Some(key) => {
+                // Pop frames whose subtree upper bound the key has passed.
+                while st
+                    .path
+                    .last()
+                    .is_some_and(|(_, hi)| hi.as_ref().is_some_and(|h| key >= h))
+                {
+                    st.path.pop();
+                }
+            }
+            None => st.path.clear(),
+        }
+        let (mut node, mut hi, mut on_path) = match st.path.last() {
+            Some((n, h)) => (*n, h.clone(), true),
+            None => (self.root, None, false),
+        };
+        loop {
+            self.batch_charge(st, node);
+            match &*self.nodes[node] {
+                Node::Inner { keys, children } => {
+                    if !on_path {
+                        st.path.push((node, hi.clone()));
+                    }
+                    on_path = false;
+                    let idx = match key {
+                        Some(key) => keys.partition_point(|k| k <= key),
+                        None => 0,
+                    };
+                    if idx < keys.len() {
+                        hi = Some(keys[idx].clone());
+                    }
+                    node = children[idx];
+                }
+                Node::Leaf { .. } => return node,
+                Node::Free => unreachable!("descended into freed node"),
+            }
+        }
+    }
+
+    fn scan_ranges_sorted<'q>(
+        &self,
+        ranges: impl IntoIterator<Item = (Bound<&'q K>, Bound<&'q K>)>,
+        mut visit: impl FnMut(usize, &K, &V),
+    ) -> BatchReport
+    where
+        K: 'q,
+    {
+        let mut st = self.fresh_batch();
+        let mut report = BatchReport::default();
+        let mut prev_lo: Option<&K> = None;
+        for (range_idx, (lo, hi)) in ranges.into_iter().enumerate() {
+            report.probes += 1;
+            let key = match lo {
+                Bound::Included(k) | Bound::Excluded(k) => Some(k),
+                Bound::Unbounded => None,
+            };
+            if let (Some(prev), Some(k)) = (prev_lo, key) {
+                debug_assert!(prev <= k, "scan_ranges_sorted: lower bounds must ascend");
+            }
+            prev_lo = key.or(prev_lo);
+            let mut leaf = self.batch_descend(&mut st, key);
+            let mut start_idx = start_index(self.leaf(leaf).0, lo);
+            let mut leaves_visited = 1u64;
+            'walk: loop {
+                let (entries, next) = self.leaf(leaf);
+                for (k, v) in &entries[start_idx..] {
+                    if !below(k, hi) {
+                        break 'walk;
+                    }
+                    visit(range_idx, k, v);
+                }
+                if next == NO_NODE {
+                    break;
+                }
+                leaf = next;
+                start_idx = 0;
+                self.batch_charge(&mut st, leaf);
+                leaves_visited += 1;
+            }
+            // A standalone scan of this range descends the full height and
+            // then charges each additional leaf it walks.
+            report.naive_pages += self.height as u64 + (leaves_visited - 1);
+        }
+        report.pages_read = st.pages_read;
+        report
+    }
+}
+
+/// Index of the first entry of a leaf at or past the lower bound `lo`.
+fn start_index<K: Ord, V>(entries: &[(K, V)], lo: Bound<&K>) -> usize {
+    entries.partition_point(|(k, _)| match lo {
+        Bound::Included(key) => k < key,
+        Bound::Excluded(key) => k <= key,
+        Bound::Unbounded => false,
+    })
+}
+
+/// Does `k` lie below the upper bound `hi`?
+fn below<K: Ord>(k: &K, hi: Bound<&K>) -> bool {
+    match hi {
+        Bound::Included(h) => k <= h,
+        Bound::Excluded(h) => k < h,
+        Bound::Unbounded => true,
+    }
+}
+
+/// A frozen, `Send + Sync` view of a [`BPlusTree`] as of one instant: the
+/// tree's page slab as shared `Arc`s plus its geometry.  Taking one
+/// ([`BPlusTree::freeze`]) copies pointers only; the live tree copies a
+/// page before its next write to it while a view still shares it, so a
+/// view never changes.
+///
+/// Reads run the live tree's descent and scan code and charge the live
+/// rule page for page; the charges count into the caller's `meter`
+/// instead of a buffer pool and [`IoStats`](crate::IoStats), so a view
+/// always charges as an unbuffered tree would.
+#[derive(Debug)]
+pub struct FrozenTree<K, V> {
+    nodes: Vec<Arc<Node<K, V>>>,
+    root: usize,
+    height: usize,
+    len: usize,
+}
+
+impl<K: Ord + Clone, V> FrozenTree<K, V> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// `true` when the view holds no entries.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Height in levels, including the leaf level.
+    pub fn height(&self) -> usize {
+        self.height
+    }
+
+    fn pages<'a>(&'a self, meter: &'a AtomicU64) -> Pages<'a, K, V, impl Fn(usize) + 'a> {
+        Pages {
+            nodes: &self.nodes,
+            root: self.root,
+            height: self.height,
+            charge: move |_| {
+                meter.fetch_add(1, Ordering::Relaxed);
+            },
+        }
+    }
+
+    /// [`BPlusTree::scan_all`] against the view, charging `meter`.
+    pub fn scan_all(&self, meter: &AtomicU64, visit: impl FnMut(&K, &V)) {
+        self.pages(meter)
+            .scan_range(Bound::Unbounded, Bound::Unbounded, visit)
+    }
+
+    /// [`BPlusTree::scan_ranges_sorted`] against the view, charging
+    /// `meter` (the batch counters of [`IoStats`](crate::IoStats) are the
+    /// live tree's alone).
+    pub fn scan_ranges_sorted<'q>(
+        &self,
+        ranges: impl IntoIterator<Item = (Bound<&'q K>, Bound<&'q K>)>,
+        meter: &AtomicU64,
+        visit: impl FnMut(usize, &K, &V),
+    ) -> BatchReport
+    where
+        K: 'q,
+    {
+        self.pages(meter).scan_ranges_sorted(ranges, visit)
+    }
+}
+
 /// A B+ tree with page-access accounting.
 ///
 /// Keys must be unique; composite keys give multi-map behaviour.
 #[derive(Debug)]
 pub struct BPlusTree<K, V> {
-    nodes: Vec<Node<K, V>>,
+    nodes: Vec<Arc<Node<K, V>>>,
     free: Vec<usize>,
     root: usize,
     /// Levels including the leaf level (empty tree = single empty leaf,
@@ -342,6 +640,8 @@ pub struct BPlusTree<K, V> {
     /// Per-slot epoch stamps, parallel to `nodes` (`epochs[slot]` = epoch
     /// of the slot's last modification).
     epochs: RefCell<Vec<u64>>,
+    /// Pages copied because a [`FrozenTree`] still shared them.
+    pages_copied: u64,
 }
 
 impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
@@ -370,7 +670,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             next: NO_NODE,
         };
         BPlusTree {
-            nodes: vec![root_leaf],
+            nodes: vec![Arc::new(root_leaf)],
             free: Vec::new(),
             root: 0,
             height: 1,
@@ -381,6 +681,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             buffer: RefCell::new(BufferPool::unbuffered()),
             epoch: Cell::new(0),
             epochs: RefCell::new(vec![0]),
+            pages_copied: 0,
         }
     }
 
@@ -444,17 +745,14 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
 
     /// Number of leaf pages (the paper's `ap^{i,j}`).
     pub fn leaf_page_count(&self) -> u64 {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
-            .count() as u64
+        self.nodes.iter().filter(|n| n.is_leaf()).count() as u64
     }
 
     /// Number of inner pages (the paper's `pg^{i,j}` without leaves).
     pub fn inner_page_count(&self) -> u64 {
         self.nodes
             .iter()
-            .filter(|n| matches!(n, Node::Inner { .. }))
+            .filter(|n| matches!(***n, Node::Inner { .. }))
             .count() as u64
     }
 
@@ -494,45 +792,77 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     }
 
     fn alloc(&mut self, node: Node<K, V>) -> usize {
-        if let Some(id) = self.free.pop() {
-            self.nodes[id] = node;
-            self.stamp(id);
-            id
-        } else {
-            self.nodes.push(node);
-            let id = self.nodes.len() - 1;
-            self.stamp(id);
-            id
-        }
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.nodes[id] = Arc::new(node);
+                id
+            }
+            None => {
+                self.nodes.push(Arc::new(node));
+                self.nodes.len() - 1
+            }
+        };
+        self.stamp(id);
+        id
     }
 
     fn release(&mut self, id: usize) {
-        self.nodes[id] = Node::Free;
+        self.nodes[id] = Arc::new(Node::Free);
         self.free.push(id);
         self.stamp(id);
+    }
+
+    /// Mutable access to page `id`, copying it first if a frozen view
+    /// still shares it — the only way the tree writes a page, so every
+    /// copy is counted here.
+    fn page_mut(&mut self, id: usize) -> &mut Node<K, V> {
+        let page = &mut self.nodes[id];
+        if Arc::strong_count(page) > 1 {
+            self.pages_copied += 1;
+        }
+        Arc::make_mut(page)
+    }
+
+    // ------------------------------------------------------------------
+    // Copy-on-write views
+    // ------------------------------------------------------------------
+
+    /// Freeze the tree's current state into a [`FrozenTree`]: one pointer
+    /// copy per page, no entry is cloned.  Charges nothing.
+    pub fn freeze(&self) -> FrozenTree<K, V> {
+        FrozenTree {
+            nodes: self.nodes.clone(),
+            root: self.root,
+            height: self.height,
+            len: self.len,
+        }
+    }
+
+    /// Pages copied so far because a [`FrozenTree`] still shared them
+    /// when the tree wrote them.
+    pub fn pages_copied(&self) -> u64 {
+        self.pages_copied
+    }
+
+    /// Slab slots whose page a [`FrozenTree`] currently shares.
+    pub fn shared_pages(&self) -> usize {
+        self.nodes
+            .iter()
+            .filter(|n| Arc::strong_count(n) > 1)
+            .count()
     }
 
     // ------------------------------------------------------------------
     // Descent
     // ------------------------------------------------------------------
 
-    /// Walk from the root to the leaf responsible for `key`, charging one
-    /// read per level and recording `(node, child index)` for each inner
-    /// node on the way.
-    fn descend(&self, key: &K) -> (usize, Vec<(usize, usize)>) {
-        let mut path = Vec::with_capacity(self.height);
-        let mut node = self.root;
-        loop {
-            self.charge_read(node);
-            match &self.nodes[node] {
-                Node::Inner { keys, children } => {
-                    let idx = keys.partition_point(|k| k <= key);
-                    path.push((node, idx));
-                    node = children[idx];
-                }
-                Node::Leaf { .. } => return (node, path),
-                Node::Free => unreachable!("descended into freed node"),
-            }
+    /// The read side of the tree, charging through the buffer pool.
+    fn pages(&self) -> Pages<'_, K, V, impl Fn(usize) + '_> {
+        Pages {
+            nodes: &self.nodes,
+            root: self.root,
+            height: self.height,
+            charge: move |node| self.charge_read(node),
         }
     }
 
@@ -542,10 +872,8 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
 
     /// Point lookup.  Charges `height` page reads.
     pub fn get(&self, key: &K) -> Option<V> {
-        let (leaf, _) = self.descend(key);
-        let Node::Leaf { entries, .. } = &self.nodes[leaf] else {
-            unreachable!()
-        };
+        let pages = self.pages();
+        let (entries, _) = pages.leaf(pages.descend(key).0);
         entries
             .binary_search_by(|(k, _)| k.cmp(key))
             .ok()
@@ -559,59 +887,8 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
 
     /// Visit all entries with `lo <= key < hi` (half-open), in key order.
     /// Charges the initial descent plus one read per additional leaf.
-    pub fn scan_range(&self, lo: Bound<&K>, hi: Bound<&K>, mut visit: impl FnMut(&K, &V)) {
-        let mut leaf;
-        let mut start_idx;
-        match lo {
-            Bound::Included(key) | Bound::Excluded(key) => {
-                let (l, _) = self.descend(key);
-                leaf = l;
-                let Node::Leaf { entries, .. } = &self.nodes[leaf] else {
-                    unreachable!()
-                };
-                start_idx = entries.partition_point(|(k, _)| match lo {
-                    Bound::Included(key) => k < key,
-                    Bound::Excluded(key) => k <= key,
-                    Bound::Unbounded => false,
-                });
-            }
-            Bound::Unbounded => {
-                // Walk down the left spine.
-                let mut node = self.root;
-                loop {
-                    self.charge_read(node);
-                    match &self.nodes[node] {
-                        Node::Inner { children, .. } => node = children[0],
-                        Node::Leaf { .. } => break,
-                        Node::Free => unreachable!(),
-                    }
-                }
-                leaf = node;
-                start_idx = 0;
-            }
-        }
-        loop {
-            let Node::Leaf { entries, next } = &self.nodes[leaf] else {
-                unreachable!()
-            };
-            for (k, v) in &entries[start_idx..] {
-                let in_range = match hi {
-                    Bound::Included(h) => k <= h,
-                    Bound::Excluded(h) => k < h,
-                    Bound::Unbounded => true,
-                };
-                if !in_range {
-                    return;
-                }
-                visit(k, v);
-            }
-            if *next == NO_NODE {
-                return;
-            }
-            leaf = *next;
-            start_idx = 0;
-            self.charge_read(leaf);
-        }
+    pub fn scan_range(&self, lo: Bound<&K>, hi: Bound<&K>, visit: impl FnMut(&K, &V)) {
+        self.pages().scan_range(lo, hi, visit)
     }
 
     /// Collect a half-open range `[lo, hi)` into a vector.
@@ -643,66 +920,6 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     // Batched sorted probes
     // ------------------------------------------------------------------
 
-    fn batch_charge(&self, st: &mut BatchState<K>, node: usize) {
-        if !st.charged[node] {
-            st.charged[node] = true;
-            st.pages_read += 1;
-            self.charge_read(node);
-        }
-    }
-
-    /// Descend to the leaf responsible for `key` (`None` = leftmost
-    /// leaf), reusing the surviving prefix of the previous probe's path
-    /// and charging only pages not yet touched this batch.
-    fn batch_descend(&self, st: &mut BatchState<K>, key: Option<&K>) -> usize {
-        match key {
-            Some(key) => {
-                // Pop frames whose subtree upper bound the key has passed.
-                while st
-                    .path
-                    .last()
-                    .is_some_and(|(_, hi)| hi.as_ref().is_some_and(|h| key >= h))
-                {
-                    st.path.pop();
-                }
-            }
-            None => st.path.clear(),
-        }
-        let (mut node, mut hi, mut on_path) = match st.path.last() {
-            Some((n, h)) => (*n, h.clone(), true),
-            None => (self.root, None, false),
-        };
-        loop {
-            self.batch_charge(st, node);
-            match &self.nodes[node] {
-                Node::Inner { keys, children } => {
-                    if !on_path {
-                        st.path.push((node, hi.clone()));
-                    }
-                    on_path = false;
-                    let idx = match key {
-                        Some(key) => keys.partition_point(|k| k <= key),
-                        None => 0,
-                    };
-                    if idx < keys.len() {
-                        hi = Some(keys[idx].clone());
-                    }
-                    node = children[idx];
-                }
-                Node::Leaf { .. } => return node,
-                Node::Free => unreachable!("descended into freed node"),
-            }
-        }
-    }
-
-    fn fresh_batch(&self) -> BatchState<K> {
-        BatchState {
-            path: Vec::with_capacity(self.height),
-            charged: vec![false; self.nodes.len()],
-            pages_read: 0,
-        }
-    }
-
     /// Visit, in key order, the entries of each of `ranges` — a batch of
     /// probes whose lower bounds must be **ascending** (`BTreeSet`
     /// iteration order qualifies).  One logical root-to-leaf descent is
@@ -722,62 +939,12 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     pub fn scan_ranges_sorted<'q>(
         &self,
         ranges: impl IntoIterator<Item = (Bound<&'q K>, Bound<&'q K>)>,
-        mut visit: impl FnMut(usize, &K, &V),
+        visit: impl FnMut(usize, &K, &V),
     ) -> BatchReport
     where
         K: 'q,
     {
-        let mut st = self.fresh_batch();
-        let mut report = BatchReport::default();
-        let mut prev_lo: Option<&K> = None;
-        for (range_idx, (lo, hi)) in ranges.into_iter().enumerate() {
-            report.probes += 1;
-            let key = match lo {
-                Bound::Included(k) | Bound::Excluded(k) => Some(k),
-                Bound::Unbounded => None,
-            };
-            if let (Some(prev), Some(k)) = (prev_lo, key) {
-                debug_assert!(prev <= k, "scan_ranges_sorted: lower bounds must ascend");
-            }
-            prev_lo = key.or(prev_lo);
-            let mut leaf = self.batch_descend(&mut st, key);
-            let Node::Leaf { entries, .. } = &self.nodes[leaf] else {
-                unreachable!()
-            };
-            let mut start_idx = entries.partition_point(|(k, _)| match lo {
-                Bound::Included(key) => k < key,
-                Bound::Excluded(key) => k <= key,
-                Bound::Unbounded => false,
-            });
-            let mut leaves_visited = 1u64;
-            'walk: loop {
-                let Node::Leaf { entries, next } = &self.nodes[leaf] else {
-                    unreachable!()
-                };
-                for (k, v) in &entries[start_idx..] {
-                    let in_range = match hi {
-                        Bound::Included(h) => k <= h,
-                        Bound::Excluded(h) => k < h,
-                        Bound::Unbounded => true,
-                    };
-                    if !in_range {
-                        break 'walk;
-                    }
-                    visit(range_idx, k, v);
-                }
-                if *next == NO_NODE {
-                    break;
-                }
-                leaf = *next;
-                start_idx = 0;
-                self.batch_charge(&mut st, leaf);
-                leaves_visited += 1;
-            }
-            // A standalone scan of this range descends the full height and
-            // then charges each additional leaf it walks.
-            report.naive_pages += self.height as u64 + (leaves_visited - 1);
-        }
-        report.pages_read = st.pages_read;
+        let report = self.pages().scan_ranges_sorted(ranges, visit);
         self.stats.count_batch(report.probes, report.pages_saved());
         report
     }
@@ -791,20 +958,18 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         for pair in keys.windows(2) {
             debug_assert!(pair[0] <= pair[1], "get_many keys must ascend");
         }
-        let mut st = self.fresh_batch();
-        let mut out = Vec::with_capacity(keys.len());
-        for key in keys {
-            let leaf = self.batch_descend(&mut st, Some(key));
-            let Node::Leaf { entries, .. } = &self.nodes[leaf] else {
-                unreachable!()
-            };
-            out.push(
+        let pages = self.pages();
+        let mut st = pages.fresh_batch();
+        let out = keys
+            .iter()
+            .map(|key| {
+                let (entries, _) = pages.leaf(pages.batch_descend(&mut st, Some(key)));
                 entries
                     .binary_search_by(|(k, _)| k.cmp(key))
                     .ok()
-                    .map(|i| entries[i].1.clone()),
-            );
-        }
+                    .map(|i| entries[i].1.clone())
+            })
+            .collect();
         let report = BatchReport {
             probes: keys.len() as u64,
             pages_read: st.pages_read,
@@ -821,30 +986,27 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// Insert a unique key.  Charges the descent reads plus one write per
     /// modified node (leaf, split siblings, updated ancestors).
     pub fn insert(&mut self, key: K, value: V) -> Result<()> {
-        let (leaf, path) = self.descend(&key);
-        {
-            let Node::Leaf { entries, .. } = &mut self.nodes[leaf] else {
-                unreachable!()
-            };
-            match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
+        let (leaf, mut path, pos) = {
+            let pages = self.pages();
+            let (leaf, path) = pages.descend(&key);
+            match pages.leaf(leaf).0.binary_search_by(|(k, _)| k.cmp(&key)) {
                 Ok(_) => return Err(PageSimError::DuplicateKey(format!("{key:?}"))),
-                Err(pos) => entries.insert(pos, (key, value)),
+                Err(pos) => (leaf, path, pos),
             }
-        }
+        };
+        let Node::Leaf { entries, .. } = self.page_mut(leaf) else {
+            unreachable!()
+        };
+        entries.insert(pos, (key, value));
         self.len += 1;
         self.charge_write(leaf);
 
         // Split propagation.
         let mut child = leaf;
-        let mut path = path;
-        loop {
-            let (split_key, new_node) = match self.split_if_overfull(child) {
-                Some(split) => split,
-                None => break,
-            };
+        while let Some((split_key, new_node)) = self.split_if_overfull(child) {
             match path.pop() {
                 Some((parent, child_idx)) => {
-                    let Node::Inner { keys, children } = &mut self.nodes[parent] else {
+                    let Node::Inner { keys, children } = self.page_mut(parent) else {
                         unreachable!()
                     };
                     keys.insert(child_idx, split_key);
@@ -872,47 +1034,45 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// If `node` exceeds its capacity, split it and return the separator
     /// key plus the new right sibling.
     fn split_if_overfull(&mut self, node: usize) -> Option<(K, usize)> {
-        match &mut self.nodes[node] {
+        let overfull = match &*self.nodes[node] {
+            Node::Leaf { entries, .. } => entries.len() > self.leaf_capacity,
+            Node::Inner { children, .. } => children.len() > self.inner_capacity,
+            Node::Free => unreachable!(),
+        };
+        if !overfull {
+            return None;
+        }
+        let (separator, right) = match self.page_mut(node) {
             Node::Leaf { entries, next } => {
-                if entries.len() <= self.leaf_capacity {
-                    return None;
-                }
-                let mid = entries.len() / 2;
-                let right_entries = entries.split_off(mid);
-                let right_next = *next;
+                let right_entries = entries.split_off(entries.len() / 2);
                 let separator = right_entries[0].0.clone();
-                let right = self.alloc(Node::Leaf {
+                let right = Node::Leaf {
                     entries: right_entries,
-                    next: right_next,
-                });
-                let Node::Leaf { next, .. } = &mut self.nodes[node] else {
-                    unreachable!()
+                    next: *next,
                 };
-                *next = right;
-                self.charge_write(node);
-                self.charge_write(right);
-                Some((separator, right))
+                (separator, right)
             }
             Node::Inner { keys, children } => {
-                if children.len() <= self.inner_capacity {
-                    return None;
-                }
                 let mid = keys.len() / 2;
                 // keys[mid] moves up; right gets keys[mid+1..] and
                 // children[mid+1..].
                 let right_keys = keys.split_off(mid + 1);
                 let separator = keys.pop().expect("mid key exists");
-                let right_children = children.split_off(mid + 1);
-                let right = self.alloc(Node::Inner {
+                let right = Node::Inner {
                     keys: right_keys,
-                    children: right_children,
-                });
-                self.charge_write(node);
-                self.charge_write(right);
-                Some((separator, right))
+                    children: children.split_off(mid + 1),
+                };
+                (separator, right)
             }
             Node::Free => unreachable!(),
+        };
+        let right = self.alloc(right);
+        if let Node::Leaf { next, .. } = self.page_mut(node) {
+            *next = right;
         }
+        self.charge_write(node);
+        self.charge_write(right);
+        Some((separator, right))
     }
 
     // ------------------------------------------------------------------
@@ -964,7 +1124,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             return Ok(()); // stays the empty root leaf
         }
         self.buffer.borrow_mut().invalidate();
-        self.nodes = built.nodes;
+        self.nodes = built.nodes.into_iter().map(Arc::new).collect();
         self.free.clear();
         self.root = built.root;
         self.height = built.height;
@@ -990,21 +1150,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             height: self.height,
             len: self.len,
             free: self.free.clone(),
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| match n {
-                    Node::Inner { keys, children } => NodeImage::Inner {
-                        keys: keys.clone(),
-                        children: children.clone(),
-                    },
-                    Node::Leaf { entries, next } => NodeImage::Leaf {
-                        entries: entries.clone(),
-                        next: (*next != NO_NODE).then_some(*next),
-                    },
-                    Node::Free => NodeImage::Free,
-                })
-                .collect(),
+            nodes: self.nodes.iter().map(|n| n.image()).collect(),
         }
     }
 
@@ -1042,20 +1188,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     pub fn dump_image_since(&self, fence: u64) -> TreeDelta<K, V> {
         let pages = (0..self.nodes.len())
             .filter(|&id| self.page_epoch(id) >= fence)
-            .map(|id| {
-                let img = match &self.nodes[id] {
-                    Node::Inner { keys, children } => NodeImage::Inner {
-                        keys: keys.clone(),
-                        children: children.clone(),
-                    },
-                    Node::Leaf { entries, next } => NodeImage::Leaf {
-                        entries: entries.clone(),
-                        next: (*next != NO_NODE).then_some(*next),
-                    },
-                    Node::Free => NodeImage::Free,
-                };
-                (id, img)
-            })
+            .map(|id| (id, self.nodes[id].image()))
             .collect();
         TreeDelta {
             root: self.root,
@@ -1095,13 +1228,15 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         self.buffer.borrow_mut().invalidate();
         self.nodes = nodes
             .into_iter()
-            .map(|n| match n {
-                NodeImage::Inner { keys, children } => Node::Inner { keys, children },
-                NodeImage::Leaf { entries, next } => Node::Leaf {
-                    entries,
-                    next: next.unwrap_or(NO_NODE),
-                },
-                NodeImage::Free => Node::Free,
+            .map(|n| {
+                Arc::new(match n {
+                    NodeImage::Inner { keys, children } => Node::Inner { keys, children },
+                    NodeImage::Leaf { entries, next } => Node::Leaf {
+                        entries,
+                        next: next.unwrap_or(NO_NODE),
+                    },
+                    NodeImage::Free => Node::Free,
+                })
             })
             .collect();
         self.free = free;
@@ -1133,10 +1268,10 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// Roll back to the pristine empty state (single empty root leaf),
     /// keeping stats handle, capacities and structure tag.
     fn reset_to_empty(&mut self) {
-        self.nodes = vec![Node::Leaf {
+        self.nodes = vec![Arc::new(Node::Leaf {
             entries: Vec::new(),
             next: NO_NODE,
-        }];
+        })];
         self.free.clear();
         self.root = 0;
         self.height = 1;
@@ -1286,16 +1421,16 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// Remove `key`, returning its value if present.  Rebalances by
     /// borrowing from or merging with siblings.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let (leaf, path) = self.descend(key);
-        let removed = {
-            let Node::Leaf { entries, .. } = &mut self.nodes[leaf] else {
-                unreachable!()
-            };
-            match entries.binary_search_by(|(k, _)| k.cmp(key)) {
-                Ok(pos) => entries.remove(pos).1,
-                Err(_) => return None,
-            }
+        let (leaf, path, pos) = {
+            let pages = self.pages();
+            let (leaf, path) = pages.descend(key);
+            let pos = pages.leaf(leaf).0.binary_search_by(|(k, _)| k.cmp(key));
+            (leaf, path, pos.ok()?)
         };
+        let Node::Leaf { entries, .. } = self.page_mut(leaf) else {
+            unreachable!()
+        };
+        let removed = entries.remove(pos).1;
         self.len -= 1;
         self.charge_write(leaf);
         self.rebalance_upwards(leaf, path);
@@ -1310,11 +1445,22 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         self.inner_capacity.div_ceil(2)
     }
 
-    fn node_is_deficient(&self, node: usize) -> bool {
-        match &self.nodes[node] {
-            Node::Leaf { entries, .. } => entries.len() < self.min_leaf(),
-            Node::Inner { children, .. } => children.len() < self.min_children(),
+    /// Entries of a leaf or children of an inner page.
+    fn occupancy(&self, node: usize) -> usize {
+        match &*self.nodes[node] {
+            Node::Leaf { entries, .. } => entries.len(),
+            Node::Inner { children, .. } => children.len(),
             Node::Free => unreachable!(),
+        }
+    }
+
+    /// The fewest entries (leaf) or children (inner) a non-root page of
+    /// `node`'s kind may hold.
+    fn min_fill(&self, node: usize) -> usize {
+        if self.nodes[node].is_leaf() {
+            self.min_leaf()
+        } else {
+            self.min_children()
         }
     }
 
@@ -1324,7 +1470,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
                 self.collapse_root_if_needed();
                 return;
             }
-            if !self.node_is_deficient(node) {
+            if self.occupancy(node) >= self.min_fill(node) {
                 return;
             }
             let (parent, child_idx) = path.pop().expect("non-root node has a parent");
@@ -1334,7 +1480,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     }
 
     fn collapse_root_if_needed(&mut self) {
-        while let Node::Inner { children, .. } = &self.nodes[self.root] {
+        while let Node::Inner { children, .. } = &*self.nodes[self.root] {
             if children.len() > 1 {
                 return;
             }
@@ -1346,96 +1492,76 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         }
     }
 
+    fn children(&self, parent: usize) -> &[usize] {
+        match &*self.nodes[parent] {
+            Node::Inner { children, .. } => children,
+            _ => unreachable!("page {parent} is not an inner page"),
+        }
+    }
+
     /// Repair the deficient `children[child_idx]` of `parent` by borrowing
     /// from a sibling or merging.
     fn fix_deficient_child(&mut self, parent: usize, child_idx: usize) {
-        let (left_idx, right_idx) = {
-            let Node::Inner { children, .. } = &self.nodes[parent] else {
-                unreachable!()
-            };
-            let left = child_idx.checked_sub(1).map(|i| children[i]);
-            let right = children.get(child_idx + 1).copied();
-            (left, right)
-        };
+        let children = self.children(parent);
+        let left = child_idx.checked_sub(1).map(|i| children[i]);
+        let right = children.get(child_idx + 1).copied();
         // Prefer borrowing from the sibling with surplus.
-        if let Some(left) = left_idx {
+        if let Some(left) = left {
             self.charge_read(left);
-            if self.has_surplus(left) {
+            if self.occupancy(left) > self.min_fill(left) {
                 self.borrow_from_left(parent, child_idx, left);
                 return;
             }
         }
-        if let Some(right) = right_idx {
+        if let Some(right) = right {
             self.charge_read(right);
-            if self.has_surplus(right) {
+            if self.occupancy(right) > self.min_fill(right) {
                 self.borrow_from_right(parent, child_idx, right);
                 return;
             }
         }
         // Merge with a sibling (left preferred).
-        if left_idx.is_some() {
+        if left.is_some() {
             self.merge_children(parent, child_idx - 1);
         } else {
             self.merge_children(parent, child_idx);
         }
     }
 
-    fn has_surplus(&self, node: usize) -> bool {
-        match &self.nodes[node] {
-            Node::Leaf { entries, .. } => entries.len() > self.min_leaf(),
-            Node::Inner { children, .. } => children.len() > self.min_children(),
-            Node::Free => unreachable!(),
-        }
+    /// Replace separator `sep_idx` of `parent`, returning the old one.
+    fn replace_separator(&mut self, parent: usize, sep_idx: usize, key: K) -> K {
+        let Node::Inner { keys, .. } = self.page_mut(parent) else {
+            unreachable!()
+        };
+        std::mem::replace(&mut keys[sep_idx], key)
     }
 
     fn borrow_from_left(&mut self, parent: usize, child_idx: usize, left: usize) {
         let sep_idx = child_idx - 1;
-        let child = {
-            let Node::Inner { children, .. } = &self.nodes[parent] else {
-                unreachable!()
-            };
-            children[child_idx]
-        };
-        if matches!(self.nodes[child], Node::Leaf { .. }) {
-            // Move the left sibling's last entry over; separator becomes
-            // the moved key.
-            let (k, v) = {
-                let Node::Leaf { entries, .. } = &mut self.nodes[left] else {
+        let child = self.children(parent)[child_idx];
+        match self.page_mut(left) {
+            Node::Leaf { entries, .. } => {
+                // Move the left sibling's last entry over; separator
+                // becomes the moved key.
+                let (k, v) = entries.pop().expect("surplus sibling is non-empty");
+                self.replace_separator(parent, sep_idx, k.clone());
+                let Node::Leaf { entries, .. } = self.page_mut(child) else {
                     unreachable!()
                 };
-                entries.pop().expect("surplus sibling is non-empty")
-            };
-            let new_sep = k.clone();
-            let Node::Leaf { entries, .. } = &mut self.nodes[child] else {
-                unreachable!()
-            };
-            entries.insert(0, (k, v));
-            let Node::Inner { keys, .. } = &mut self.nodes[parent] else {
-                unreachable!()
-            };
-            keys[sep_idx] = new_sep;
-        } else {
-            // Rotate through the parent separator.
-            let (moved_key, moved_child) = {
-                let Node::Inner { keys, children } = &mut self.nodes[left] else {
+                entries.insert(0, (k, v));
+            }
+            Node::Inner { keys, children } => {
+                // Rotate through the parent separator.
+                let moved_key = keys.pop().expect("surplus");
+                let moved_child = children.pop().expect("surplus");
+                let old_sep = self.replace_separator(parent, sep_idx, moved_key);
+                let Node::Inner { keys, children } = self.page_mut(child) else {
                     unreachable!()
                 };
-                (
-                    keys.pop().expect("surplus"),
-                    children.pop().expect("surplus"),
-                )
-            };
-            let old_sep = {
-                let Node::Inner { keys, .. } = &mut self.nodes[parent] else {
-                    unreachable!()
-                };
-                std::mem::replace(&mut keys[sep_idx], moved_key)
-            };
-            let Node::Inner { keys, children } = &mut self.nodes[child] else {
-                unreachable!()
-            };
-            keys.insert(0, old_sep);
-            children.insert(0, moved_child);
+                keys.insert(0, old_sep);
+                children.insert(0, moved_child);
+            }
+            Node::Free => unreachable!(),
         }
         self.charge_write(left);
         self.charge_write(child);
@@ -1444,51 +1570,28 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
 
     fn borrow_from_right(&mut self, parent: usize, child_idx: usize, right: usize) {
         let sep_idx = child_idx;
-        let child = {
-            let Node::Inner { children, .. } = &self.nodes[parent] else {
-                unreachable!()
-            };
-            children[child_idx]
-        };
-        if matches!(self.nodes[child], Node::Leaf { .. }) {
-            let (k, v) = {
-                let Node::Leaf { entries, .. } = &mut self.nodes[right] else {
+        let child = self.children(parent)[child_idx];
+        match self.page_mut(right) {
+            Node::Leaf { entries, .. } => {
+                let (k, v) = entries.remove(0);
+                let new_sep = entries[0].0.clone();
+                self.replace_separator(parent, sep_idx, new_sep);
+                let Node::Leaf { entries, .. } = self.page_mut(child) else {
                     unreachable!()
                 };
-                entries.remove(0)
-            };
-            let new_sep = {
-                let Node::Leaf { entries, .. } = &self.nodes[right] else {
+                entries.push((k, v));
+            }
+            Node::Inner { keys, children } => {
+                let moved_key = keys.remove(0);
+                let moved_child = children.remove(0);
+                let old_sep = self.replace_separator(parent, sep_idx, moved_key);
+                let Node::Inner { keys, children } = self.page_mut(child) else {
                     unreachable!()
                 };
-                entries[0].0.clone()
-            };
-            let Node::Leaf { entries, .. } = &mut self.nodes[child] else {
-                unreachable!()
-            };
-            entries.push((k, v));
-            let Node::Inner { keys, .. } = &mut self.nodes[parent] else {
-                unreachable!()
-            };
-            keys[sep_idx] = new_sep;
-        } else {
-            let (moved_key, moved_child) = {
-                let Node::Inner { keys, children } = &mut self.nodes[right] else {
-                    unreachable!()
-                };
-                (keys.remove(0), children.remove(0))
-            };
-            let old_sep = {
-                let Node::Inner { keys, .. } = &mut self.nodes[parent] else {
-                    unreachable!()
-                };
-                std::mem::replace(&mut keys[sep_idx], moved_key)
-            };
-            let Node::Inner { keys, children } = &mut self.nodes[child] else {
-                unreachable!()
-            };
-            keys.push(old_sep);
-            children.push(moved_child);
+                keys.push(old_sep);
+                children.push(moved_child);
+            }
+            Node::Free => unreachable!(),
         }
         self.charge_write(right);
         self.charge_write(child);
@@ -1498,7 +1601,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     /// Merge `children[idx+1]` of `parent` into `children[idx]`.
     fn merge_children(&mut self, parent: usize, idx: usize) {
         let (left, right, separator) = {
-            let Node::Inner { keys, children } = &mut self.nodes[parent] else {
+            let Node::Inner { keys, children } = self.page_mut(parent) else {
                 unreachable!()
             };
             let left = children[idx];
@@ -1506,35 +1609,36 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
             let separator = keys.remove(idx);
             (left, right, separator)
         };
-        let right_node = std::mem::replace(&mut self.nodes[right], Node::Free);
-        match right_node {
-            Node::Leaf { mut entries, next } => {
-                let Node::Leaf {
+        // The right page is released, not written: a view sharing it keeps
+        // the page, and the tree clones its entries out instead of moving
+        // them (not counted as a page copy).
+        let right_node = std::mem::replace(&mut self.nodes[right], Arc::new(Node::Free));
+        match (self.page_mut(left), Arc::unwrap_or_clone(right_node)) {
+            (
+                Node::Leaf {
                     entries: left_entries,
                     next: left_next,
-                } = &mut self.nodes[left]
-                else {
-                    unreachable!()
-                };
+                },
+                Node::Leaf { mut entries, next },
+            ) => {
                 left_entries.append(&mut entries);
                 *left_next = next;
             }
-            Node::Inner {
-                mut keys,
-                mut children,
-            } => {
-                let Node::Inner {
+            (
+                Node::Inner {
                     keys: left_keys,
                     children: left_children,
-                } = &mut self.nodes[left]
-                else {
-                    unreachable!()
-                };
+                },
+                Node::Inner {
+                    mut keys,
+                    mut children,
+                },
+            ) => {
                 left_keys.push(separator);
                 left_keys.append(&mut keys);
                 left_children.append(&mut children);
             }
-            Node::Free => unreachable!(),
+            _ => unreachable!("merged siblings differ in kind"),
         }
         self.free.push(right);
         self.stamp(right);
@@ -1576,7 +1680,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         let mut prev: Option<K> = None;
         let mut leaf = self.leftmost_leaf();
         loop {
-            let Node::Leaf { entries, next } = &self.nodes[leaf] else {
+            let Node::Leaf { entries, next } = &*self.nodes[leaf] else {
                 return Err(PageSimError::CorruptStructure(
                     "leaf chain hit non-leaf".into(),
                 ));
@@ -1609,7 +1713,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
     fn leftmost_leaf(&self) -> usize {
         let mut node = self.root;
         loop {
-            match &self.nodes[node] {
+            match &*self.nodes[node] {
                 Node::Inner { children, .. } => node = children[0],
                 Node::Leaf { .. } => return node,
                 Node::Free => unreachable!(),
@@ -1627,7 +1731,7 @@ impl<K: Ord + Clone + Debug, V: Clone> BPlusTree<K, V> {
         count: &mut usize,
     ) -> Result<()> {
         let corrupt = |msg: String| Err(PageSimError::CorruptStructure(msg));
-        match &self.nodes[node] {
+        match &*self.nodes[node] {
             Node::Free => corrupt(format!("reachable node {node} is free")),
             Node::Leaf { entries, .. } => {
                 if node != self.root && entries.len() < self.min_leaf() {

@@ -284,6 +284,76 @@ fn parallel_pump_matches_serial_execution() {
     assert_eq!(metrics.counter("server.snapshot.batches"), 1);
 }
 
+/// `ShardProbe` keys arrive off the wire in whatever order the client
+/// sent them.  Unsorted and repeated keys must get the same answer from
+/// the pinned snapshot as from live serial execution: each key's rows,
+/// in arrival order.
+#[test]
+fn unsorted_probe_keys_answer_like_the_serial_pump() {
+    let (mut serial_db, asr, divisions, _) = serving_company();
+    let (mut parallel_db, _, _, _) = serving_company();
+    assert!(divisions.len() >= 2, "need several probe keys");
+    let mut keys: Vec<Cell> = divisions.iter().rev().cloned().collect();
+    keys.push(divisions[divisions.len() - 1].clone());
+    let mut expected = Vec::new();
+    for key in &keys {
+        expected.extend(serial_db.asr(asr as usize).unwrap().partitions()[0].lookup_first(key));
+    }
+    assert!(!expected.is_empty());
+    let script = [
+        RequestBody::ShardProbe {
+            asr,
+            part: 0,
+            forward: true,
+            keys,
+        },
+        RequestBody::Ping,
+    ];
+
+    let mut serial_server = NetServer::new();
+    let sid = serial_server.open_session();
+    let (mut rx, mut tx) = (LosslessChannel::new(), LosslessChannel::new());
+    for (i, body) in script.iter().enumerate() {
+        send(&mut rx, i as u64 + 1, body.clone());
+    }
+    serial_server.pump_session(
+        sid,
+        &mut ServerDb::<MemStorage>::Plain(&mut serial_db),
+        &mut rx,
+        &mut tx,
+    );
+    let serial_out = drain(&mut tx);
+
+    let mut parallel_server = NetServer::new();
+    let sid = parallel_server.open_session();
+    let (mut rx, mut tx) = (LosslessChannel::new(), LosslessChannel::new());
+    for (i, body) in script.iter().enumerate() {
+        send(&mut rx, i as u64 + 1, body.clone());
+    }
+    let mut sessions: Vec<(usize, &mut dyn Channel, &mut dyn Channel)> = vec![(
+        sid,
+        &mut rx as &mut dyn Channel,
+        &mut tx as &mut dyn Channel,
+    )];
+    parallel_server.pump_sessions_parallel(
+        &mut ServerDb::<MemStorage>::Plain(&mut parallel_db),
+        &mut sessions,
+        2,
+    );
+    let parallel_out = drain(&mut tx);
+
+    assert_eq!(outcomes(&parallel_out), outcomes(&serial_out));
+    assert_eq!(serial_out[0].body, ResponseBody::Rows(expected));
+    assert_eq!(
+        parallel_db
+            .tracer()
+            .metrics()
+            .counter("server.snapshot.reads"),
+        2,
+        "the probe must ride the pinned snapshot"
+    );
+}
+
 /// A `Shutdown` deferred to the serial tail still closes the session
 /// before any request queued behind it.
 #[test]
